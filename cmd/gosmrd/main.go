@@ -45,7 +45,7 @@ func main() {
 		maxConns  = flag.Int("max-conns", 1024, "max concurrent connections; accepts past the cap are shed (negative = unlimited)")
 		budget    = flag.Int("conn-budget", 128, "per-connection in-flight response budget; excess requests get StatusOverloaded")
 		idleT     = flag.Duration("idle-timeout", 2*time.Minute, "evict a connection idle this long (negative disables)")
-		writeT    = flag.Duration("write-timeout", 10*time.Second, "evict a connection whose response write stalls this long (negative disables)")
+		writeT    = flag.Duration("write-timeout", 10*time.Second, "evict a connection whose response write stalls, or whose sent responses sit unacknowledged (Linux), this long (negative disables)")
 		dispatchT = flag.Duration("dispatch-timeout", 20*time.Millisecond, "max wait for space on a full shard queue before shedding (negative = shed immediately)")
 		connWbuf  = flag.Int("conn-wbuf", 64<<10, "per-connection kernel send buffer cap in bytes (negative = kernel default)")
 

@@ -241,11 +241,14 @@ func TestSlowReaderEvictionKeepsShardProgressing(t *testing.T) {
 		ConnWriteBuffer: 16 << 10,
 	})
 
-	// The slow client: shrink its receive window so the server's
-	// response stream fills the socket buffers quickly, then write
-	// requests forever and never read. (Not too small: a window under
-	// one loopback segment degenerates into a TCP retransmission storm
-	// that freezes both directions instead of blocking the writer.)
+	// The slow client: shrink its receive buffer so the server's
+	// response stream fills it quickly, then write requests forever and
+	// never read. Once the unread data overruns the client's receive
+	// memory its kernel drops every inbound segment, ACKs included, and
+	// both directions freeze with only a few KiB unacknowledged on the
+	// server, so the writer may never block (a 128 KiB buffer freezes
+	// the same way): eviction must also come from the undrained
+	// unacknowledged backlog, not only from a blocked write.
 	slow, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -261,8 +264,8 @@ func TestSlowReaderEvictionKeepsShardProgressing(t *testing.T) {
 		// Write until eviction closes the socket under us (the 30s
 		// deadline is only a backstop against a hung test). The flood
 		// must outlive the buffer-fill phase: responses accumulate in
-		// the never-read socket until the server's writer blocks and
-		// its deadline fires.
+		// the never-read socket until the server's writer blocks or its
+		// sent responses sit unacknowledged past the write timeout.
 		slow.SetWriteDeadline(time.Now().Add(30 * time.Second))
 		var buf []byte
 		for i := uint32(0); ; i++ {
@@ -309,6 +312,36 @@ func TestSlowReaderEvictionKeepsShardProgressing(t *testing.T) {
 
 	healthy.c.Close()
 	shutdownClean(t, srv, 10*time.Second) // nil error ⇒ zero arena violations
+}
+
+// TestDeliveryProbeSparesDrainedIdleReader is the false-positive guard
+// for the unacknowledged-backlog probe: a client that reads every
+// response and then goes quiet for many write timeouts has nothing
+// unacknowledged, so it must never count as a slow reader — only the
+// idle deadline (disabled here by its 2m default) may close it.
+func TestDeliveryProbeSparesDrainedIdleReader(t *testing.T) {
+	srv, _ := startTuned(t, ServerConfig{WriteTimeout: 40 * time.Millisecond})
+	tc := dialClient(t, srv.Addr())
+	tc.c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for round := uint32(0); round < 4; round++ {
+		var reqs []Request
+		for i := uint32(0); i < 20; i++ {
+			id := round*20 + i
+			reqs = append(reqs, Request{Op: OpPut, ID: id, Key: uint64(id), Val: 1})
+		}
+		tc.send(reqs...)
+		for id, resp := range tc.recv(len(reqs)) {
+			if resp.Status != StatusOK {
+				t.Fatalf("round %d: put %d status %d", round, id, resp.Status)
+			}
+		}
+		time.Sleep(5 * 40 * time.Millisecond)
+	}
+	if n := srv.Snapshot().EvictedSlow; n != 0 {
+		t.Fatalf("evicted_slow = %d for a client that read every response", n)
+	}
+	tc.c.Close()
+	shutdownClean(t, srv, 5*time.Second)
 }
 
 // TestBurstPastBudgetSheds: a client that bursts past its in-flight

@@ -45,10 +45,15 @@ type ServerConfig struct {
 	// from a client before evicting the connection. 0 selects the default
 	// (2m); negative disables the idle deadline.
 	IdleTimeout time.Duration
-	// WriteTimeout is the per-write deadline on the response path: a
-	// client that stops draining its socket is evicted once a response
-	// write stalls this long. 0 selects the default (10s); negative
-	// disables the write deadline.
+	// WriteTimeout bounds how long a client may leave responses
+	// undrained. A client that stops reading is evicted once a response
+	// write blocks this long, or (Linux only, via SIOCOUTQ) once
+	// responses already handed to the kernel stay unacknowledged, with
+	// the backlog not shrinking and nothing new written, this long after
+	// the last flush — the stall a non-reading peer causes when it drops
+	// inbound segments, ACKs included, before any write can block. The
+	// eviction close is abortive (SO_LINGER 0). 0 selects the default
+	// (10s); negative disables both.
 	WriteTimeout time.Duration
 	// DispatchTimeout is how long a connection's reader waits for space
 	// on a full shard queue before answering StatusOverloaded. 0 selects
@@ -56,12 +61,14 @@ type ServerConfig struct {
 	DispatchTimeout time.Duration
 	// ConnWriteBuffer caps the kernel send buffer (SO_SNDBUF) of each
 	// accepted TCP connection. It bounds the kernel memory one
-	// non-reading client can pin and is what makes WriteTimeout eviction
-	// responsive: with the default autotuned buffer the kernel absorbs
-	// megabytes of responses before a write ever stalls, so a slow
-	// reader is only evicted after its whole receive window AND a
-	// multi-megabyte send buffer fill. 0 selects the default (64 KiB);
-	// negative leaves the kernel default (autotuning).
+	// non-reading client can pin — until eviction, whose abortive close
+	// frees the backlog at once — and is what makes blocked-write
+	// eviction responsive: with the default autotuned buffer the kernel
+	// absorbs megabytes of responses before a write ever stalls, so a
+	// slow reader is only evicted after its whole receive window AND a
+	// multi-megabyte send buffer fill (or, on Linux, once that backlog
+	// sits unacknowledged for WriteTimeout). 0 selects the default
+	// (64 KiB); negative leaves the kernel default (autotuning).
 	ConnWriteBuffer int
 	// DisableReadFastPath forces GETs through the shard worker queues
 	// like mutations (the pre-fast-path behavior). The zero value serves
@@ -435,12 +442,21 @@ func (s *Server) serveConn(c net.Conn) {
 		defer writerWG.Done()
 		var buf []byte
 		broken := false
+		probe := newDeliveryProbe(c, s.cfg.WriteTimeout)
+		defer probe.stop()
 		fail := func(err error) {
 			broken = true
+			probe.stop()
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				s.evictedSlow.Add(1)
 				if q, ok := netpoll.SockOutq(c); ok {
 					s.recordEvictedOutq(q)
+				}
+				// Abortive close: free the unacknowledged backlog now
+				// instead of leaving an orphaned socket in FIN-WAIT-1 to
+				// pin it until the kernel gives up retransmitting.
+				if tc, ok := c.(*net.TCPConn); ok {
+					tc.SetLinger(0)
 				}
 			}
 			// Evict: closing the connection kicks the read loop out of
@@ -448,7 +464,20 @@ func (s *Server) serveConn(c net.Conn) {
 			// instead of silently discarding responses forever.
 			c.Close()
 		}
-		for m := range out {
+		for {
+			var m outMsg
+			var ok bool
+			select {
+			case m, ok = <-out:
+			case <-probe.C():
+				if probe.fire(len(out) > 0) {
+					fail(os.ErrDeadlineExceeded)
+				}
+				continue
+			}
+			if !ok {
+				break
+			}
 			if !broken {
 				buf = AppendResponse(buf[:0], m.resp)
 				if s.cfg.WriteTimeout > 0 {
@@ -461,6 +490,8 @@ func (s *Server) serveConn(c net.Conn) {
 					// are queued, so a pipelined burst costs one syscall.
 					if err := bw.Flush(); err != nil {
 						fail(err)
+					} else {
+						probe.flushed()
 					}
 				}
 			}
@@ -480,7 +511,9 @@ func (s *Server) serveConn(c net.Conn) {
 			if s.cfg.WriteTimeout > 0 {
 				c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 			}
-			bw.Flush()
+			if err := bw.Flush(); err != nil {
+				fail(err)
+			}
 		}
 	}()
 
@@ -577,6 +610,110 @@ func (s *Server) serveConn(c net.Conn) {
 	rh.release()    // hand the read handles to the pool for the next connection
 	close(out)
 	writerWG.Wait()
+}
+
+// deliveryProbe is the writer's second slow-reader detector, for the
+// stall the per-write deadline cannot see. A peer that stops reading can
+// freeze its connection with only a few KiB of responses unacknowledged:
+// once its receive memory overruns it drops every inbound segment, ACKs
+// included, so the server's send buffer never fills, no write ever
+// blocks, and the write deadline never fires. The probe samples the
+// socket's unacknowledged backlog (SIOCOUTQ) every timeout/4 while the
+// writer is idle and reports a stall once that backlog has stayed above
+// zero without shrinking, with nothing new written, for a whole timeout
+// since the last flush (or the last shrink it saw) — the same bound the
+// write deadline puts on a blocked write. The ioctl runs only when the
+// probe's timer fires, never on the flush path; where SIOCOUTQ is
+// unavailable the probe switches itself off at its first tick and the
+// write deadline alone remains.
+type deliveryProbe struct {
+	c       net.Conn
+	timeout time.Duration
+	step    time.Duration
+	timer   *time.Timer
+	armed   bool      // timer running, its tick not yet consumed
+	off     bool      // no write deadline, no SIOCOUTQ, or conn evicted
+	since   time.Time // start of the current no-progress window
+	lastQ   int       // backlog at this window's previous sample; -1: none yet
+}
+
+func newDeliveryProbe(c net.Conn, timeout time.Duration) *deliveryProbe {
+	return &deliveryProbe{c: c, timeout: timeout, step: timeout / 4, off: timeout <= 0}
+}
+
+// C is the tick channel the writer selects on; nil (never ready) while
+// the probe is disarmed.
+func (p *deliveryProbe) C() <-chan time.Time {
+	if !p.armed {
+		return nil
+	}
+	return p.timer.C
+}
+
+// arm starts the timer. Only called with no tick pending (never armed,
+// or the last tick consumed), so Reset cannot leave a stale tick behind.
+func (p *deliveryProbe) arm(d time.Duration) {
+	if p.timer == nil {
+		p.timer = time.NewTimer(d)
+	} else {
+		p.timer.Reset(d)
+	}
+	p.armed = true
+}
+
+// flushed opens a new no-progress window: fresh bytes just reached the
+// kernel. A clock read, and a timer start only when none is running.
+func (p *deliveryProbe) flushed() {
+	if p.off {
+		return
+	}
+	p.since, p.lastQ = time.Now(), -1
+	if !p.armed {
+		p.arm(p.step)
+	}
+}
+
+// fire consumes one tick and reports whether the peer has left the
+// backlog undrained for the whole timeout. busy means responses are
+// queued: the writer is about to write (a blocked write is the write
+// deadline's job), so there is nothing to sample yet.
+func (p *deliveryProbe) fire(busy bool) bool {
+	p.armed = false
+	if busy {
+		p.arm(p.step)
+		return false
+	}
+	now := time.Now()
+	if d := p.since.Add(p.step).Sub(now); d > 0 {
+		p.arm(d) // flushed since this tick was armed
+		return false
+	}
+	q, ok := netpoll.SockOutq(p.c)
+	if !ok {
+		p.off = true
+		return false
+	}
+	if q == 0 {
+		return false // all acknowledged; the next flush re-arms
+	}
+	if p.lastQ >= 0 && q < p.lastQ {
+		p.since = now // still draining, just slowly
+	}
+	p.lastQ = q
+	left := p.since.Add(p.timeout).Sub(now)
+	if left <= 0 {
+		return true
+	}
+	p.arm(min(p.step, left))
+	return false
+}
+
+// stop disarms the probe for good (eviction or writer exit).
+func (p *deliveryProbe) stop() {
+	p.off, p.armed = true, false
+	if p.timer != nil {
+		p.timer.Stop()
+	}
 }
 
 // isMutation reports whether op changes store state (and therefore rides

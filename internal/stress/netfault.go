@@ -26,7 +26,7 @@ const netFaultTick = 100 * time.Millisecond
 // StalledReader connects, floods valid Put requests as fast as the
 // socket accepts them, and never reads a single response byte — the
 // slow-reader adversary: responses pile up in the kernel buffers until
-// the server's write deadline evicts the connection. Returns the number
+// the server evicts the connection as a slow reader. Returns the number
 // of requests written and the write error that ended the flood (nil
 // only when stop closed first).
 func StalledReader(addr string, stop <-chan struct{}) (int, error) {
@@ -36,9 +36,14 @@ func StalledReader(addr string, stop <-chan struct{}) (int, error) {
 	}
 	defer c.Close()
 	if tc, ok := c.(*net.TCPConn); ok {
-		// Shrink the receive window so the never-read response stream
-		// fills the socket buffers quickly (but keep it comfortably
-		// above one loopback segment; see the kvsvc slow-reader test).
+		// Shrink the receive buffer so the never-read response stream
+		// fills it quickly. Once the unread data overruns the receive
+		// memory the kernel drops every inbound segment, the server's
+		// ACKs included, and the flood freezes in both directions with
+		// only a few KiB of responses unacknowledged on the server, so
+		// no server write ever blocks (a 128 KiB buffer freezes the
+		// same way). The server must notice the undrained backlog
+		// itself; see the kvsvc slow-reader test.
 		tc.SetReadBuffer(16 << 10)
 	}
 	var buf []byte

@@ -64,7 +64,7 @@ func shutdownClean(t *testing.T, srv *kvsvc.Server) {
 }
 
 // TestStalledReaderEvictedWhileHealthyProgress: the flagship injector.
-// A flooding never-reading client is evicted by the write deadline while
+// A flooding never-reading client is evicted as a slow reader while
 // a healthy connection on the same single shard keeps completing ops —
 // the stalled client never wedges the shard worker.
 func TestStalledReaderEvictedWhileHealthyProgress(t *testing.T) {
@@ -110,7 +110,7 @@ func TestStalledReaderEvictedWhileHealthyProgress(t *testing.T) {
 		t.Fatalf("served %d, want >= 50", srv.Served())
 	}
 
-	// The injector must be evicted by the write deadline.
+	// The injector must be evicted as a slow reader (WriteTimeout).
 	for srv.Snapshot().EvictedSlow == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("stalled reader was never evicted")
